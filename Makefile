@@ -6,6 +6,9 @@
 #   make overhead      observability overhead gate: the disabled-path
 #                      benchmarks must report zero allocations
 #   make bench         comm fast-path benchmarks; writes BENCH_comm.json
+#   make commbench-smoke
+#                      fast deterministic commbench run (fan-in and
+#                      ping-pong harness end to end)
 #   make net-smoke     multi-process smoke: jacobi + quickstart + commbench
 #                      under converserun -np 4 on real TCP sockets
 #   make chaos-smoke   reliability gate: jacobi under a fault plan must
@@ -27,6 +30,11 @@
 #                      completion budget, zero leaked goroutines) plus
 #                      a conversed/converserun -daemon/conversetop
 #                      -jobs end-to-end run over real binaries
+#   make chaos-service-smoke
+#                      crash-tolerance gate: the chaos soak (daemon kill,
+#                      gateway hard-stop + journal restart, drain) plus
+#                      a conversed kill -9/restart/-deadline run over
+#                      real binaries
 #   make bench-jobs    warm-service vs cold-launch job throughput;
 #                      writes BENCH_jobs.json
 #   make profile       the 8..256-PE scale ladder; writes BENCH_scale.json
@@ -41,6 +49,11 @@
 
 GO ?= go
 
+# Shell helper for the smoke recipes: `poll N FILE SEDEXPR` prints the
+# first nonempty output of `sed -n SEDEXPR FILE`, retrying every 0.1 s
+# at most N times, and prints nothing if that budget runs out.
+POLL = poll() { for _i in $$(seq 1 $$1); do _p=$$(sed -n "$$3" "$$2"); [ -n "$$_p" ] && { echo "$$_p"; return; }; sleep 0.1; done; }
+
 .PHONY: ci tier1 vet build test race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test
 
 ci: tier1 race machine-race overhead lint msgcheck-test commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke
@@ -49,6 +62,9 @@ tier1: vet build test
 
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo 'FAIL: files not gofmt-clean:'; echo "$$out"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -119,10 +135,7 @@ commbench-smoke:
 # run unmodified — the same sources `go run` executes in-process.
 net-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/converserun ./cmd/converserun && \
-	$(GO) build -o $$tmp/jacobi ./examples/jacobi && \
-	$(GO) build -o $$tmp/quickstart ./examples/quickstart && \
-	$(GO) build -o $$tmp/commbench ./cmd/commbench && \
+	$(GO) build -o $$tmp/ ./cmd/converserun ./examples/jacobi ./examples/quickstart ./cmd/commbench && \
 	$$tmp/converserun -np 4 -timeout 120s $$tmp/jacobi && \
 	$$tmp/converserun -np 4 -timeout 120s $$tmp/quickstart && \
 	$$tmp/commbench -transport tcp -pes 4 -smoke -o /dev/null && \
@@ -137,8 +150,7 @@ net-smoke:
 # timeouts turn a distributed hang into a CI failure.
 chaos-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/converserun ./cmd/converserun && \
-	$(GO) build -o $$tmp/jacobi ./examples/jacobi && \
+	$(GO) build -o $$tmp/ ./cmd/converserun ./examples/jacobi && \
 	$$tmp/converserun -np 4 -timeout 120s $$tmp/jacobi -perpe 8 > $$tmp/clean.out && \
 	$$tmp/converserun -np 4 -timeout 120s -heartbeat 50ms -failure retry \
 		-faults 'seed=7,drop=0.01,killlink=1-0@120' \
@@ -174,8 +186,7 @@ bench-collectives:
 # sweep proving the flat-vs-tree harness end to end.
 collectives-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/converserun ./cmd/converserun && \
-	$(GO) build -o $$tmp/jacobi ./examples/jacobi && \
+	$(GO) build -o $$tmp/ ./cmd/converserun ./examples/jacobi && \
 	$$tmp/converserun -np 8 -nodes 4 -ppn 2 -timeout 120s $$tmp/jacobi && \
 	$(GO) run ./cmd/commbench -collectives -smoke -o /dev/null && \
 	echo 'collectives-smoke: jacobi ok as 4 nodes x 2 PEs; flat-vs-tree sweep ok'
@@ -187,19 +198,14 @@ collectives-smoke:
 # must parse as a pprof profile (conversetop validates it before
 # reporting). The job itself must still exit 0 afterwards.
 monitor-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	{ $(GO) build -o $$tmp/converserun ./cmd/converserun && \
-	  $(GO) build -o $$tmp/jacobi ./examples/jacobi && \
-	  $(GO) build -o $$tmp/conversetop ./cmd/conversetop; } || exit 1; \
+	@$(POLL); tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/ ./cmd/converserun ./examples/jacobi ./cmd/conversetop || exit 1; \
 	( $$tmp/converserun -np 4 -timeout 120s -monitor 127.0.0.1:0 \
 		$$tmp/jacobi -perpe 8 -minwall 15s > $$tmp/job.out 2>&1; \
 		echo $$? > $$tmp/job.rc ) & \
 	jobpid=$$!; \
-	addr=; tok=; \
-	for i in $$(seq 1 200); do \
-		set -- $$(sed -n 's/^converserun: monitor on \(.*\) token \(.*\)$$/\1 \2/p' $$tmp/job.out); \
-		addr=$$1; tok=$$2; [ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
+	set -- $$(poll 200 $$tmp/job.out 's/^converserun: monitor on \(.*\) token \(.*\)$$/\1 \2/p'); \
+	addr=$$1; tok=$$2; \
 	if [ -z "$$addr" ]; then \
 		echo 'FAIL: converserun never printed the monitor address'; \
 		cat $$tmp/job.out; exit 1; \
@@ -232,17 +238,11 @@ monitor-smoke:
 # CONVERSED_ADDR forms), and conversetop -jobs reading back the table.
 service-smoke:
 	$(GO) test ./internal/service/ -run 'TestServiceSoak' -count=1 -timeout 180s -v
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"; kill $$gpid 2>/dev/null' EXIT && \
-	{ $(GO) build -o $$tmp/conversed ./cmd/conversed && \
-	  $(GO) build -o $$tmp/converserun ./cmd/converserun && \
-	  $(GO) build -o $$tmp/conversetop ./cmd/conversetop; } || exit 1; \
+	@$(POLL); tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"; kill $$gpid 2>/dev/null' EXIT && \
+	$(GO) build -o $$tmp/ ./cmd/conversed ./cmd/converserun ./cmd/conversetop || exit 1; \
 	$$tmp/conversed -listen 127.0.0.1:0 -slots 4 -token smoke 2> $$tmp/conversed.log & \
 	gpid=$$!; \
-	addr=; \
-	for i in $$(seq 1 100); do \
-		addr=$$(sed -n 's/^conversed: gateway on \(.*\) (.*$$/\1/p' $$tmp/conversed.log); \
-		[ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
+	addr=$$(poll 100 $$tmp/conversed.log 's/^conversed: gateway on \(.*\) (.*$$/\1/p'); \
 	if [ -z "$$addr" ]; then \
 		echo 'FAIL: conversed never printed its gateway address'; \
 		cat $$tmp/conversed.log; exit 1; \
@@ -270,17 +270,11 @@ service-smoke:
 # recovered gateway must still schedule fresh work.
 chaos-service-smoke:
 	$(GO) test ./internal/service/ -run 'TestServiceChaos' -count=1 -timeout 300s -v
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"; kill $$gpid 2>/dev/null' EXIT && \
-	{ $(GO) build -o $$tmp/conversed ./cmd/conversed && \
-	  $(GO) build -o $$tmp/converserun ./cmd/converserun && \
-	  $(GO) build -o $$tmp/conversetop ./cmd/conversetop; } || exit 1; \
+	@$(POLL); tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"; kill $$gpid 2>/dev/null' EXIT && \
+	$(GO) build -o $$tmp/ ./cmd/conversed ./cmd/converserun ./cmd/conversetop || exit 1; \
 	$$tmp/conversed -listen 127.0.0.1:0 -slots 4 -token smoke -state $$tmp/state 2> $$tmp/conversed.log & \
 	gpid=$$!; \
-	addr=; \
-	for i in $$(seq 1 100); do \
-		addr=$$(sed -n 's/^conversed: gateway on \(.*\) (.*$$/\1/p' $$tmp/conversed.log); \
-		[ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
+	addr=$$(poll 100 $$tmp/conversed.log 's/^conversed: gateway on \(.*\) (.*$$/\1/p'); \
 	if [ -z "$$addr" ]; then \
 		echo 'FAIL: conversed never printed its gateway address'; \
 		cat $$tmp/conversed.log; exit 1; \
@@ -294,11 +288,7 @@ chaos-service-smoke:
 	kill -9 $$gpid; wait $$gpid 2>/dev/null; \
 	$$tmp/conversed -listen $$addr -slots 4 -token smoke -state $$tmp/state -recovery 1s 2> $$tmp/conversed2.log & \
 	gpid=$$!; \
-	up=; \
-	for i in $$(seq 1 100); do \
-		up=$$(sed -n 's/^conversed: gateway on \(.*\) (.*$$/\1/p' $$tmp/conversed2.log); \
-		[ -n "$$up" ] && break; sleep 0.1; \
-	done; \
+	up=$$(poll 100 $$tmp/conversed2.log 's/^conversed: gateway on \(.*\) (.*$$/\1/p'); \
 	if [ -z "$$up" ]; then \
 		echo 'FAIL: restarted conversed never came up'; \
 		cat $$tmp/conversed2.log; exit 1; \

@@ -15,7 +15,7 @@ import (
 	"sort"
 	"time"
 
-	"converse/service"
+	"converse/internal/service"
 )
 
 type jobsModeResult struct {

@@ -55,9 +55,9 @@ import (
 	"time"
 
 	converse "converse"
-	"converse/bench"
-	"converse/mnet"
-	"converse/netmodel"
+	"converse/internal/bench"
+	"converse/internal/mnet"
+	"converse/internal/netmodel"
 )
 
 type fanInResult struct {

@@ -28,7 +28,7 @@ import (
 	"syscall"
 	"time"
 
-	"converse/service"
+	"converse/internal/service"
 )
 
 func main() {

@@ -35,7 +35,7 @@ import (
 	"os"
 	"time"
 
-	"converse/mnet"
+	"converse/internal/mnet"
 )
 
 func main() {

@@ -11,7 +11,7 @@ import (
 	"os"
 	"time"
 
-	"converse/service"
+	"converse/internal/service"
 )
 
 // runSubmit submits one named workload to a conversed gateway and

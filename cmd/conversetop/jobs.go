@@ -12,7 +12,7 @@ import (
 	"strings"
 	"time"
 
-	"converse/service"
+	"converse/internal/service"
 )
 
 // runJobs renders the conversed job table, refreshing in place unless

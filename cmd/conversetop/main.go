@@ -29,7 +29,7 @@ import (
 	"sort"
 	"time"
 
-	"converse/ccs"
+	"converse/internal/ccs"
 )
 
 func main() {

@@ -20,7 +20,7 @@ import (
 	"log"
 	"os"
 
-	"converse/bench"
+	"converse/internal/bench"
 )
 
 func main() {

@@ -21,9 +21,9 @@ import (
 	"time"
 
 	core "converse"
-	"converse/bench"
-	"converse/netmodel"
-	"converse/trace"
+	"converse/internal/bench"
+	"converse/internal/netmodel"
+	"converse/internal/trace"
 )
 
 func main() {

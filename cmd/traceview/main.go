@@ -26,10 +26,10 @@ import (
 	"time"
 
 	core "converse"
-	"converse/lang/sm"
-	"converse/metrics"
-	"converse/netmodel"
-	"converse/trace"
+	"converse/internal/lang/sm"
+	"converse/internal/metrics"
+	"converse/internal/netmodel"
+	"converse/internal/trace"
 )
 
 func main() {

@@ -6,22 +6,26 @@
 // interleave in a single parallel program, under one unified scheduler,
 // paying only for the features each module uses.
 //
-// The package re-exports the core runtime (internal/core); the paper's
-// other components have public facade packages:
+// The package is the documented core API: it re-exports the core
+// runtime (internal/core). The paper's other components each have one
+// home under internal/, which the module's own cmd/ and examples/
+// programs import directly:
 //
-//   - converse/netmodel — communication-cost models for the paper's
+//   - internal/netmodel — communication-cost models for the paper's
 //     five evaluation machines (Figures 4-8)
-//   - converse/bench — the measurement harness behind those figures and
+//   - internal/bench — the measurement harness behind those figures and
 //     the fast-path benchmarks
-//   - converse/cth — thread objects (suspend/resume divorced from
+//   - internal/cth — thread objects (suspend/resume divorced from
 //     scheduling policy)
-//   - converse/csync — locks, condition variables, barriers
-//   - converse/msgmgr — tagged message managers
-//   - converse/ldb — seed-based dynamic load balancing
-//   - converse/trace — event tracing, causal merge and Perfetto export
-//   - converse/metrics — allocation-free per-PE runtime metrics
-//   - converse/lang/{sm,tsm,dp,pvmc,charm,mdt} — language runtimes
-//     built on the framework
+//   - internal/csync — locks, condition variables, barriers
+//   - internal/msgmgr — tagged message managers
+//   - internal/ldb — seed-based dynamic load balancing
+//   - internal/trace — event tracing, causal merge and Perfetto export
+//   - internal/metrics — allocation-free per-PE runtime metrics
+//   - internal/mnet, internal/ccs, internal/service — the TCP
+//     substrate, the live monitor and the conversed job service
+//   - internal/lang/{sm,tsm,dp,pvmc,charm,mdt,mpi,nx} — language
+//     runtimes built on the framework
 //
 // # Sending and message ownership
 //

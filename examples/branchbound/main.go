@@ -25,8 +25,8 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/charm"
-	"converse/ldb"
+	"converse/internal/lang/charm"
+	"converse/internal/ldb"
 )
 
 const (

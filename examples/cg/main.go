@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/dp"
+	"converse/internal/lang/dp"
 )
 
 const (

@@ -34,10 +34,10 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/charm"
-	"converse/lang/sm"
-	"converse/lang/tsm"
-	"converse/ldb"
+	"converse/internal/lang/charm"
+	"converse/internal/lang/sm"
+	"converse/internal/lang/tsm"
+	"converse/internal/ldb"
 )
 
 const (

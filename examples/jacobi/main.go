@@ -29,9 +29,9 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/sm"
-	"converse/mnet"
-	"converse/trace"
+	"converse/internal/lang/sm"
+	"converse/internal/mnet"
+	"converse/internal/trace"
 )
 
 const (

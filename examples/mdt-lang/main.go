@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/mdt"
+	"converse/internal/lang/mdt"
 )
 
 const (

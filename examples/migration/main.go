@@ -24,9 +24,9 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/charm"
-	"converse/ldb"
-	"converse/netmodel"
+	"converse/internal/lang/charm"
+	"converse/internal/ldb"
+	"converse/internal/netmodel"
 )
 
 const (

@@ -35,9 +35,9 @@ import (
 	"time"
 
 	"converse"
-	"converse/lang/charm"
-	"converse/lang/pvmc"
-	"converse/ldb"
+	"converse/internal/lang/charm"
+	"converse/internal/lang/pvmc"
+	"converse/internal/ldb"
 )
 
 const (

@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"converse"
-	"converse/netmodel"
+	"converse/internal/netmodel"
 )
 
 func main() {

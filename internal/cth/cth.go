@@ -158,6 +158,7 @@ func (rt *Runtime) Resume(t *Thread) {
 // on its own token (or exits): once the token is sent (or the goroutine
 // started), t runs concurrently with whatever instructions remain in the
 // caller.
+//
 //converse:hotpath
 func (rt *Runtime) handoff(t *Thread) {
 	rt.current = t

@@ -4,8 +4,8 @@ package blockinhandler
 
 import (
 	"converse"
-	"converse/csync"
-	"converse/cth"
+	"converse/internal/csync"
+	"converse/internal/cth"
 )
 
 func blockingHandlers(cm *converse.Machine, hEcho int) {

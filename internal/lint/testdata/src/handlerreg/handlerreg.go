@@ -17,7 +17,7 @@ func literalIndices(p *converse.Proc) {
 func literalArithmetic(p *converse.Proc, h int) {
 	// h+1 assumes RegisterHandler returns consecutive indices in an
 	// order no API guarantees.
-	_ = converse.NewMsg(h+1, 8) // want `raw integer literal as handler index in NewMsg`
+	_ = converse.NewMsg(h+1, 8)    // want `raw integer literal as handler index in NewMsg`
 	_ = converse.NewMsg(int(2), 8) // want `raw integer literal as handler index in NewMsg`
 }
 

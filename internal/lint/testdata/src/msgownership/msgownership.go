@@ -80,7 +80,7 @@ func loopCarriedUse(p *converse.Proc, h int) {
 	msg := converse.NewMsg(h, 8)
 	for i := 0; i < 4; i++ {
 		converse.SetHandler(msg, h) // want `used after ownership transfer`
-		p.SyncSendAndFree(1, msg) // want `used after ownership transfer`
+		p.SyncSendAndFree(1, msg)   // want `used after ownership transfer`
 	}
 }
 

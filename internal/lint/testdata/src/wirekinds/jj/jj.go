@@ -12,7 +12,7 @@ import (
 
 const (
 	KSubmit byte = 96 + iota
-	KAccept // want `frame kind KAccept = 97 collides with JKBad in the same package`
+	KAccept      // want `frame kind KAccept = 97 collides with JKBad in the same package`
 )
 
 const (

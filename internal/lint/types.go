@@ -7,10 +7,11 @@ import (
 )
 
 // Import paths of the packages whose APIs the analyzers model. The
-// public facades (converse, converse/cth, converse/csync) re-export
-// these through type aliases and thin wrappers, so type-based checks
-// against the internal paths cover facade callers too; wrapper
-// functions are matched by (package, name) pairs.
+// root converse package re-exports the core through type aliases and
+// thin wrappers, so type-based checks against the internal paths cover
+// its callers too; its wrapper functions are matched by (package,
+// name) pairs. Thread and sync callers import internal/cth and
+// internal/csync directly.
 const (
 	corePath   = "converse/internal/core"
 	facadePath = "converse"

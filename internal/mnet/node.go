@@ -1012,8 +1012,8 @@ func (n *Node) Fail(err error) {
 func (n *Node) Failure() <-chan error { return n.failCh }
 
 // Stop unblocks the schedulers of every local PE (Recv returns
-// ok=false) and halts link writers. It does not tear down connections;
-// Finish and Fail do.
+// ok=false) and halts link writers and readers. It does not tear down
+// connections; Finish and Close do.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		for _, lpe := range n.lpes {

@@ -173,8 +173,13 @@ func (pl *peerLink) run() {
 			stopped = true
 		}
 		close(stop)
-		conn.SetDeadline(time.Now()) // kick blocked I/O loose before Close
-		conn.Close()
+		conn.SetDeadline(time.Now()) // kick blocked I/O loose
+		// A stopped node leaves the socket to teardown (Close, Finish) or
+		// process exit: closing it here would hand peers an EOF that
+		// blames this rank for a failure it is only reacting to.
+		if !stopped {
+			conn.Close()
+		}
 		wg.Wait()
 
 		if stopped || pl.n.closing.Load() {

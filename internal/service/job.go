@@ -243,12 +243,12 @@ func (j *Job) info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	in := JobInfo{
-		ID:       j.id,
-		Name:     j.name,
-		Workload: j.workload,
-		State:    string(j.state),
-		Gang:     j.gang,
-		Daemons:  append([]string(nil), j.daemons...),
+		ID:         j.id,
+		Name:       j.name,
+		Workload:   j.workload,
+		State:      string(j.state),
+		Gang:       j.gang,
+		Daemons:    append([]string(nil), j.daemons...),
 		BytesMoved: j.bytes,
 		Requeues:   j.requeues,
 		Error:      j.err,

@@ -262,12 +262,12 @@ type assignMsg struct {
 	Workload string          `json:"workload"`
 	Args     json.RawMessage `json:"args,omitempty"`
 	// Launcher/JobToken address the job's private ControlServer.
-	Launcher string `json:"launcher"`
-	JobToken string `json:"job_token"`
-	Rank     int    `json:"rank"`
-	NP       int    `json:"np"`
-	PEs      int    `json:"pes"`
-	NodeSizes []int `json:"node_sizes"`
+	Launcher  string `json:"launcher"`
+	JobToken  string `json:"job_token"`
+	Rank      int    `json:"rank"`
+	NP        int    `json:"np"`
+	PEs       int    `json:"pes"`
+	NodeSizes []int  `json:"node_sizes"`
 	// HeartbeatMS is the job mesh's liveness interval; the rank must
 	// ping at the control server's expected rate or be declared dead.
 	HeartbeatMS int64 `json:"heartbeat_ms"`

@@ -368,8 +368,8 @@ func (g *Gateway) snapshotJobs() (int64, []persistedJob) {
 			DeadlineMS: int64(j.deadline / time.Millisecond), MaxMemMB: j.maxMemMB,
 			State: string(j.state), Err: j.err, Reason: j.reason,
 			Requeues: j.requeues, Attempt: seqs[i],
-			Daemons: append([]string(nil), j.daemons...),
-			Sizes:   append([]int(nil), j.nodeSizes...),
+			Daemons:     append([]string(nil), j.daemons...),
+			Sizes:       append([]int(nil), j.nodeSizes...),
 			SubmittedMS: j.submitted.UnixMilli(),
 		})
 		j.mu.Unlock()

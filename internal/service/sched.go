@@ -188,15 +188,15 @@ func (g *Gateway) launch(at *jobAttempt) {
 	workload, args := j.workload, j.args
 	j.mu.Unlock()
 	asn := assignMsg{
-		Job:       j.id,
-		Attempt:   at.seq,
-		Workload:  workload,
-		Args:      args,
-		Launcher:  launcher,
-		JobToken:  at.token,
-		NP:        len(at.daemons),
-		PEs:       pes,
-		NodeSizes: append([]int(nil), at.sizes...),
+		Job:         j.id,
+		Attempt:     at.seq,
+		Workload:    workload,
+		Args:        args,
+		Launcher:    launcher,
+		JobToken:    at.token,
+		NP:          len(at.daemons),
+		PEs:         pes,
+		NodeSizes:   append([]int(nil), at.sizes...),
 		HeartbeatMS: g.cfg.Heartbeat.Milliseconds(),
 		DeadlineMS:  deadlineMS,
 		MaxMemMB:    maxMemMB,
