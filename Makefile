@@ -1,6 +1,7 @@
 # Tier-1 CI for the Converse reproduction.
 #
-#   make tier1         vet + build + test (the ROADMAP tier-1 gate)
+#   make tier1         vet + build + test (the ROADMAP tier-1 gate),
+#                      the nested perfbench module included
 #   make race          full test suite under the race detector
 #   make machine-race  the lock-free machine layer alone under -race
 #   make overhead      observability overhead gate: the disabled-path
@@ -10,7 +11,9 @@
 #                      fast deterministic commbench run (fan-in and
 #                      ping-pong harness end to end)
 #   make net-smoke     multi-process smoke: jacobi + quickstart + commbench
-#                      under converserun -np 4 on real TCP sockets
+#                      under converserun -np 4 on real TCP sockets, plus
+#                      namd-mini (PVM) and fma (SM + tSM), whose output
+#                      must match their in-process runs
 #   make chaos-smoke   reliability gate: jacobi under a fault plan must
 #                      converge byte-identically with the retry policy,
 #                      and die fast under failfast
@@ -54,17 +57,23 @@ GO ?= go
 # at most N times, and prints nothing if that budget runs out.
 POLL = poll() { for _i in $$(seq 1 $$1); do _p=$$(sed -n "$$3" "$$2"); [ -n "$$_p" ] && { echo "$$_p"; return; }; sleep 0.1; done; }
 
-.PHONY: ci tier1 vet build test race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test
+.PHONY: ci tier1 vet build test perfbench-check race machine-race overhead bench bench-faults bench-collectives bench-jobs commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke profile lint msgcheck-test
 
 ci: tier1 race machine-race overhead lint msgcheck-test commbench-smoke net-smoke chaos-smoke collectives-smoke monitor-smoke service-smoke chaos-service-smoke
 
-tier1: vet build test
+tier1: vet build test perfbench-check
 
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo 'FAIL: files not gofmt-clean:'; echo "$$out"; exit 1; \
 	fi
+
+# perfbench is its own Go module (replace converse => ../), so ./...
+# above does not reach it: vet and test it here, so a core or lang API
+# change that breaks the benchmark's build fails tier1.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -133,13 +142,24 @@ commbench-smoke:
 # OS process on the TCP machine layer, with a hard timeout so a
 # distributed hang fails CI instead of wedging it. The example binaries
 # run unmodified — the same sources `go run` executes in-process.
+# namd-mini (Charm + PVM) and fma (SM + tSM + Charm) print only from
+# PE 0, so their job output, with converserun's "[rank N] " prefix
+# stripped, must equal the in-process run's byte for byte.
 net-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/ ./cmd/converserun ./examples/jacobi ./examples/quickstart ./cmd/commbench && \
+	$(GO) build -o $$tmp/ ./cmd/converserun ./examples/jacobi ./examples/quickstart \
+		./examples/namd-mini ./examples/fma ./cmd/commbench && \
 	$$tmp/converserun -np 4 -timeout 120s $$tmp/jacobi && \
 	$$tmp/converserun -np 4 -timeout 120s $$tmp/quickstart && \
+	for ex in namd-mini fma; do \
+		$$tmp/$$ex > $$tmp/$$ex.sim && \
+		$$tmp/converserun -np 4 -timeout 120s $$tmp/$$ex > $$tmp/$$ex.raw && \
+		sed 's/^\[rank [0-9]*\] //' $$tmp/$$ex.raw > $$tmp/$$ex.net && \
+		diff -u $$tmp/$$ex.sim $$tmp/$$ex.net || { \
+			echo "FAIL: $$ex under converserun -np 4 differs from its in-process run"; exit 1; }; \
+	done && \
 	$$tmp/commbench -transport tcp -pes 4 -smoke -o /dev/null && \
-	echo 'net-smoke: jacobi + quickstart + commbench ok under converserun -np 4'
+	echo 'net-smoke: jacobi + quickstart + namd-mini + fma + commbench ok under converserun -np 4'
 
 # Chaos gate: jacobi -np 4 under a 1% drop plan plus a scripted mid-run
 # link kill must (a) exit 0 under the retry policy, (b) produce output

@@ -27,11 +27,9 @@ package main
 
 import (
 	"encoding/binary"
-	"fmt"
 	"log"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"converse"
@@ -61,6 +59,8 @@ type patch struct {
 	ghosts   []particle
 	gotSides int
 	stepDone bool
+	// ghost messages received over the whole run
+	exchanged int64
 }
 
 func encodeParticles(ps []particle) []byte {
@@ -131,8 +131,6 @@ func longRangeFMA(v *pvmc.PVM, qTot, dip float64) (gq, gdip float64) {
 
 func main() {
 	cm := converse.NewMachine(converse.Config{PEs: pes, Watchdog: 120 * time.Second})
-	var totalEnergyDrift float64
-	var exchanged int64
 
 	err := cm.Run(func(p *converse.Proc) {
 		me := p.MyPe()
@@ -149,7 +147,7 @@ func main() {
 				pt := obj.(*patch)
 				pt.ghosts = append(pt.ghosts, decodeParticles(msg)...)
 				pt.gotSides++
-				atomic.AddInt64(&exchanged, 1)
+				pt.exchanged++
 				if pt.gotSides == 2 {
 					pt.stepDone = true
 				}
@@ -172,7 +170,7 @@ func main() {
 		left := charm.ChareID{PE: (me + pes - 1) % pes, Local: 1}
 		right := charm.ChareID{PE: (me + 1) % pes, Local: 1}
 
-		energy0 := -1.0
+		energy0, drift := -1.0, 0.0
 		for step := 0; step < steps; step++ {
 			// --- message-driven ghost exchange (Charm module) -------
 			var lb, rb []particle // boundary particles near each edge
@@ -240,15 +238,30 @@ func main() {
 			if me == 0 && (step == 0 || step == steps-1) {
 				p.Printf("step %2d: kinetic energy %.5f, global charge %.4f\n", step, ke, gq)
 			}
-			if step == steps-1 && me == 0 {
-				totalEnergyDrift = math.Abs(ke-energy0) / (energy0 + 1e-12)
+			if step == steps-1 {
+				drift = math.Abs(ke-energy0) / (energy0 + 1e-12)
 			}
 		}
+
+		// Summary: the ghost-exchange count is reduced at PE0 through the
+		// PVM module and PE0 alone prints, so a converserun job (one PE
+		// per process) reports what the in-process run does.
+		const tagCount = 72
+		if me != 0 {
+			v.InitSend().PackInt(pt.exchanged)
+			v.Send(0, tagCount)
+			return
+		}
+		total := pt.exchanged
+		for i := 1; i < v.NumTasks(); i++ {
+			v.Recv(pvmc.Any, tagCount)
+			total += v.RecvBuf().UnpackInt()
+		}
+		p.Printf("namd-mini: %d PEs x %d particles, %d steps, %d ghost exchanges\n",
+			pes, perPatch, steps, total)
+		p.Printf("relative kinetic-energy drift on PE0: %.3f\n", drift)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("namd-mini: %d PEs x %d particles, %d steps, %d ghost exchanges\n",
-		pes, perPatch, steps, atomic.LoadInt64(&exchanged))
-	fmt.Printf("relative kinetic-energy drift on PE0: %.3f\n", totalEnergyDrift)
 }

@@ -18,7 +18,7 @@ import (
 
 	"converse/internal/core"
 	"converse/internal/emi"
-	"converse/internal/msgmgr"
+	"converse/internal/lang/sm"
 )
 
 // DP is the per-processor data-parallel runtime.
@@ -27,8 +27,7 @@ type DP struct {
 	s   *emi.State
 	all *emi.Pgrp
 
-	h   int
-	mm  *msgmgr.M
+	e   *sm.SM // private tagged-messaging engine for blocks between PEs
 	seq int
 }
 
@@ -41,44 +40,15 @@ func Attach(p *core.Proc) *DP {
 	if d, ok := p.Ext(extKey).(*DP); ok {
 		return d
 	}
-	d := &DP{p: p, s: emi.Init(p), mm: msgmgr.New()}
+	d := &DP{p: p, s: emi.Init(p)}
 	d.all = d.s.AllGroup()
-	d.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		pl := p.GrabBuffer()[core.HeaderSize:]
-		tag := int(binary.LittleEndian.Uint32(pl))
-		d.mm.Put(pl[4:], tag)
-	})
+	d.e = sm.New(p)
 	p.SetExt(extKey, d)
 	return d
 }
 
 // Proc returns the runtime's processor.
 func (d *DP) Proc() *core.Proc { return d.p }
-
-// send ships a tagged data block to another processor's DP runtime.
-func (d *DP) send(dst, tag int, data []byte) {
-	msg := core.NewMsg(d.h, 4+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl, uint32(tag))
-	copy(pl[4:], data)
-	d.p.SyncSendAndFree(dst, msg)
-}
-
-// recv blocks (SPM-style) for a tagged block.
-func (d *DP) recv(tag int) []byte {
-	for {
-		if msg, _, ok := d.mm.Get(tag); ok {
-			return msg
-		}
-		d.p.GetSpecificMsg(d.h)
-		buf := d.p.GrabBuffer()[core.HeaderSize:]
-		mtag := int(binary.LittleEndian.Uint32(buf))
-		if mtag == tag {
-			return buf[4:]
-		}
-		d.mm.Put(buf[4:], mtag)
-	}
-}
 
 // Vector is a block-distributed vector of float64: element i lives on
 // the processor owning block i/ceil(n/P). All Vector methods are
@@ -203,23 +173,8 @@ func (v *Vector) reduceAll(op emi.ReduceOp, id float64) float64 {
 // allReduce reduces contrib across all processors and broadcasts the
 // result back down, returning it everywhere. Collective.
 func (d *DP) allReduce(contrib float64, op emi.ReduceOp) float64 {
-	d.seq++
-	tag := 1<<28 + d.seq
-	r, isRoot := d.s.ReduceFloat(d.all, contrib, op)
-	if isRoot {
-		bits := make([]byte, 8)
-		binary.LittleEndian.PutUint64(bits, math.Float64bits(r))
-		for _, child := range d.all.Children(d.p.MyPe()) {
-			d.send(child, tag, bits)
-		}
-		return r
-	}
-	bits := d.recv(tag)
-	val := math.Float64frombits(binary.LittleEndian.Uint64(bits))
-	for _, child := range d.all.Children(d.p.MyPe()) {
-		d.send(child, tag, bits)
-	}
-	return val
+	r, _ := d.s.ReduceFloat(d.all, contrib, op)
+	return d.BroadcastScalar(r) // the reduction tree is rooted at PE 0 too
 }
 
 // BroadcastScalar distributes x from the root processor to everyone;
@@ -231,13 +186,13 @@ func (d *DP) BroadcastScalar(x float64) float64 {
 		bits := make([]byte, 8)
 		binary.LittleEndian.PutUint64(bits, math.Float64bits(x))
 		for _, child := range d.all.Children(0) {
-			d.send(child, tag, bits)
+			d.e.SendTagged(child, tag, bits)
 		}
 		return x
 	}
-	bits := d.recv(tag)
+	bits, _, _ := d.e.RecvTagged(tag, sm.Wildcard)
 	for _, child := range d.all.Children(d.p.MyPe()) {
-		d.send(child, tag, bits)
+		d.e.SendTagged(child, tag, bits)
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(bits))
 }
@@ -284,7 +239,7 @@ func (v *Vector) Shift(k int) *Vector {
 			for i, x := range c.vals {
 				binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(x))
 			}
-			d.send(dstPE, tag, buf)
+			d.e.SendTagged(dstPE, tag, buf)
 		}
 	}
 
@@ -292,7 +247,7 @@ func (v *Vector) Shift(k int) *Vector {
 	w := d.NewVector(n, nil)
 	filled := 0
 	for filled < len(w.local) {
-		buf := d.recv(tag)
+		buf, _, _ := d.e.RecvTagged(tag, sm.Wildcard)
 		pos := int(binary.LittleEndian.Uint32(buf))
 		vals := (len(buf) - 4) / 8
 		for i := 0; i < vals; i++ {
@@ -315,14 +270,14 @@ func (v *Vector) Gather() []float64 {
 		for i, x := range v.local {
 			binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(x))
 		}
-		d.send(0, tag, buf)
+		d.e.SendTagged(0, tag, buf)
 		return nil
 	}
 	out := make([]float64, v.n)
 	copy(out[v.lo:], v.local)
 	got := len(v.local)
 	for got < v.n {
-		buf := d.recv(tag)
+		buf, _, _ := d.e.RecvTagged(tag, sm.Wildcard)
 		pos := int(binary.LittleEndian.Uint32(buf))
 		vals := (len(buf) - 4) / 8
 		for i := 0; i < vals; i++ {

@@ -10,7 +10,8 @@
 // from the substrate's non-overtaking links plus FIFO parking), probes,
 // Sendrecv, and the core collectives — Barrier, Bcast, Reduce,
 // Allreduce, Gather — built on the EMI's spanning-tree processor groups.
-// Like PVM and NX it is a single-process-module layer (§2.1).
+// Like PVM and NX it is a single-process-module layer (§2.1), built on a
+// private instance of the sm engine.
 package mpi
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"converse/internal/core"
 	"converse/internal/emi"
+	"converse/internal/lang/sm"
 	"converse/internal/msgmgr"
 )
 
@@ -48,16 +50,13 @@ type MPI struct {
 	p   *core.Proc
 	s   *emi.State
 	all *emi.Pgrp
-	h   int
-	mm  *msgmgr.M
-	seq int
+	e   *sm.SM // private tagged-messaging engine: MPI's handler and mailbox
 }
 
-// wire format: [tag u32][src u32][data...]
-const mpiHeader = 8
-
-// collTagBase reserves the upper tag range for collectives.
-const collTagBase = 1 << 29
+// userTagLimit bounds user tags. Collectives draw their tags from the
+// engine's reserved range above sm.Internal, the way MPI gives
+// collective traffic its own communicator context.
+const userTagLimit = 1 << 29
 
 // extKey locates the MPI state in a Proc.
 const extKey = "converse.lang.mpi"
@@ -68,11 +67,9 @@ func Attach(p *core.Proc) *MPI {
 	if m, ok := p.Ext(extKey).(*MPI); ok {
 		return m
 	}
-	m := &MPI{p: p, s: emi.Init(p), mm: msgmgr.New()}
+	m := &MPI{p: p, s: emi.Init(p)}
 	m.all = m.s.AllGroup()
-	m.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		m.park(p.GrabBuffer())
-	})
+	m.e = sm.New(p)
 	p.SetExt(extKey, m)
 	return m
 }
@@ -86,19 +83,10 @@ func (m *MPI) Size() int { return m.p.NumPes() }
 // Send transmits data to rank dst under tag (MPI_Send). The buffer may
 // be reused on return.
 func (m *MPI) Send(data []byte, dst, tag int) {
-	if tag < 0 || tag >= collTagBase {
+	if tag < 0 || tag >= userTagLimit {
 		panic(fmt.Sprintf("mpi: rank %d: tag %d outside the user range", m.Rank(), tag))
 	}
-	m.send(data, dst, tag)
-}
-
-func (m *MPI) send(data []byte, dst, tag int) {
-	msg := core.NewMsg(m.h, mpiHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(m.Rank()))
-	copy(pl[mpiHeader:], data)
-	m.p.SyncSendAndFree(dst, msg)
+	m.e.SendTagged(dst, tag, data)
 }
 
 // Recv blocks until a message matching (src, tag) — either may be a
@@ -106,45 +94,24 @@ func (m *MPI) send(data []byte, dst, tag int) {
 // returns the status (MPI_Recv). Matching is FIFO among candidates, so
 // pairwise delivery order is preserved, as MPI requires.
 func (m *MPI) Recv(buf []byte, src, tag int) Status {
-	for {
-		if msg, t1, t2, ok := m.mm.Get2(tag, src); ok {
-			return m.complete(msg, t1, t2, buf)
-		}
-		m.p.GetSpecificMsg(m.h)
-		raw := m.p.GrabBuffer()
-		pl := core.Payload(raw)
-		mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-		msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-		if (tag == AnyTag || mtag == tag) && (src == AnySource || msrc == src) {
-			return m.complete(pl, mtag, msrc, buf)
-		}
-		m.mm.Put2(pl, mtag, msrc)
-	}
-}
-
-func (m *MPI) complete(pl []byte, tag, src int, buf []byte) Status {
-	copy(buf, pl[mpiHeader:])
-	return Status{Source: src, Tag: tag, Count: len(pl) - mpiHeader}
+	data, rsrc, rtag := m.e.RecvTagged(tag, src)
+	copy(buf, data)
+	return Status{Source: rsrc, Tag: rtag, Count: len(data)}
 }
 
 // Probe blocks until a matching message is available and returns its
 // status without receiving it (MPI_Probe).
 func (m *MPI) Probe(src, tag int) Status {
-	for {
-		if size, t1, t2, ok := m.mm.Probe2(tag, src); ok {
-			return Status{Source: t2, Tag: t1, Count: size - mpiHeader}
-		}
-		m.p.GetSpecificMsg(m.h)
-		m.park(m.p.GrabBuffer())
-	}
+	size, rsrc, rtag := m.e.WaitPeek(tag, src)
+	return Status{Source: rsrc, Tag: rtag, Count: size}
 }
 
 // Iprobe reports whether a matching message is available, without
 // blocking (MPI_Iprobe).
 func (m *MPI) Iprobe(src, tag int) (Status, bool) {
-	m.drain()
-	if size, t1, t2, ok := m.mm.Probe2(tag, src); ok {
-		return Status{Source: t2, Tag: t1, Count: size - mpiHeader}, true
+	m.e.Drain()
+	if size, rsrc, rtag, ok := m.e.Peek(tag, src); ok {
+		return Status{Source: rsrc, Tag: rtag, Count: size}, true
 	}
 	return Status{}, false
 }
@@ -156,28 +123,6 @@ func (m *MPI) Sendrecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, re
 	return m.Recv(recvBuf, src, recvTag)
 }
 
-func (m *MPI) park(raw []byte) {
-	pl := core.Payload(raw)
-	mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-	msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-	m.mm.Put2(pl, mtag, msrc)
-}
-
-func (m *MPI) drain() {
-	for {
-		msg, ok := m.p.GetMsg()
-		if !ok {
-			return
-		}
-		if core.HandlerOf(msg) == m.h {
-			m.park(m.p.GrabBuffer())
-			continue
-		}
-		m.p.GrabBuffer()
-		m.p.Enqueue(msg)
-	}
-}
-
 // --- collectives (spanning-tree, via the EMI group machinery) ---
 
 // Barrier blocks until every rank has entered it (MPI_Barrier).
@@ -187,8 +132,7 @@ func (m *MPI) Barrier() { m.s.Barrier(m.all) }
 // sent, others' buf is filled (MPI_Bcast). All ranks pass buffers of
 // the same length.
 func (m *MPI) Bcast(buf []byte, root int) {
-	m.seq++
-	tag := collTagBase + m.seq
+	tag := m.e.NextInternalTag()
 	if m.Rank() == root {
 		// Tree fan-out rooted at the broadcast root: recursive halving
 		// over ranks rotated so the root is rank 0.
@@ -208,7 +152,7 @@ func (m *MPI) fanout(buf []byte, root, lo, hi, tag int) {
 		binary.LittleEndian.PutUint32(env[0:], uint32(mid))
 		binary.LittleEndian.PutUint32(env[4:], uint32(hi))
 		copy(env[8:], buf)
-		m.send(env, dst, tag)
+		m.e.SendTagged(dst, tag, env)
 		hi = mid
 	}
 }
@@ -241,12 +185,11 @@ func (m *MPI) Reduce(contrib int64, op emi.ReduceOp, root int) int64 {
 		}
 		return 0
 	}
-	m.seq++
-	tag := collTagBase + m.seq
+	tag := m.e.NextInternalTag()
 	if isRoot {
 		out := make([]byte, 8)
 		binary.LittleEndian.PutUint64(out, uint64(r))
-		m.send(out, root, tag)
+		m.e.SendTagged(root, tag, out)
 		return 0
 	}
 	if m.Rank() == root {
@@ -260,26 +203,18 @@ func (m *MPI) Reduce(contrib int64, op emi.ReduceOp, root int) int64 {
 // Allreduce combines every rank's contribution and returns the result
 // on every rank (MPI_Allreduce over int64).
 func (m *MPI) Allreduce(contrib int64, op emi.ReduceOp) int64 {
-	r, isRoot := m.s.Reduce(m.all, contrib, op)
-	out := make([]byte, 8)
-	m.seq++
-	tag := collTagBase + m.seq
-	if isRoot {
-		binary.LittleEndian.PutUint64(out, uint64(r))
-		m.fanout(out, 0, 0, m.Size(), tag)
-		return r
-	}
-	m.recvColl(out, tag)
+	r, _ := m.s.Reduce(m.all, contrib, op)
+	out := binary.LittleEndian.AppendUint64(nil, uint64(r))
+	m.Bcast(out, m.all.RootPE())
 	return int64(binary.LittleEndian.Uint64(out))
 }
 
 // Gather collects every rank's fixed-size block at the root, ordered by
 // rank (MPI_Gather). Returns the concatenation at root, nil elsewhere.
 func (m *MPI) Gather(block []byte, root int) []byte {
-	m.seq++
-	tag := collTagBase + m.seq
+	tag := m.e.NextInternalTag()
 	if m.Rank() != root {
-		m.send(block, root, tag)
+		m.e.SendTagged(root, tag, block)
 		return nil
 	}
 	out := make([]byte, len(block)*m.Size())

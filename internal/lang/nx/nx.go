@@ -8,14 +8,16 @@
 //
 // Like SM and PVM, NX is a single-process-module layer (§2.1): a
 // blocked crecv buffers all other traffic. Message selection is by
-// "type" (the NX tag), with -1 matching any type.
+// "type" (the NX tag), with -1 matching any type. The messaging itself
+// is a private instance of the sm engine, queried with a wildcard
+// source; this package adds irecv and the info enquiries.
 package nx
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"converse/internal/core"
+	"converse/internal/lang/sm"
 	"converse/internal/msgmgr"
 )
 
@@ -24,15 +26,13 @@ const AnyType = msgmgr.Wildcard
 
 // NX is the per-processor NX-flavoured runtime.
 type NX struct {
-	p  *core.Proc
-	h  int
-	mm *msgmgr.M
+	p *core.Proc
+	e *sm.SM // private tagged-messaging engine: NX's handler and mailbox
 
 	// last-received message info (infotype/infocount/infonode)
 	lastType, lastCount, lastNode int
 
-	pending  []*Recv
-	gsyncSeq int
+	pending []*Recv
 }
 
 // Recv is a posted asynchronous receive (irecv), completed by Wait.
@@ -57,9 +57,6 @@ func (r *Recv) Node() int { return r.node }
 // Type returns the received message type (valid once done).
 func (r *Recv) Type() int { return r.rtyp }
 
-// wire format of an NX message payload: [type u32][src u32][data...]
-const nxHeader = 8
-
 // extKey locates the NX state in a Proc.
 const extKey = "converse.lang.nx"
 
@@ -68,10 +65,7 @@ func Attach(p *core.Proc) *NX {
 	if x, ok := p.Ext(extKey).(*NX); ok {
 		return x
 	}
-	x := &NX{p: p, mm: msgmgr.New(), lastType: -1, lastNode: -1}
-	x.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		x.park(p.GrabBuffer())
-	})
+	x := &NX{p: p, e: sm.New(p), lastType: -1, lastNode: -1}
 	p.SetExt(extKey, x)
 	return x
 }
@@ -86,12 +80,12 @@ func (x *NX) Numnodes() int { return x.p.NumPes() }
 // The buffer may be reused when it returns.
 func (x *NX) Csend(typ int, data []byte, node int) {
 	x.checkType(typ)
-	x.csendInternal(typ, data, node)
+	x.e.SendTagged(node, typ, data)
 }
 
 // checkType validates a user message type.
 func (x *NX) checkType(typ int) {
-	if typ < 0 || typ >= gsyncBase {
+	if typ < 0 || typ >= sm.Internal {
 		panic(fmt.Sprintf("nx: pe %d: message type %d outside the user range [0, 1<<30)", x.p.MyPe(), typ))
 	}
 }
@@ -101,12 +95,7 @@ func (x *NX) checkType(typ int) {
 // is captured at call time.
 func (x *NX) Isend(typ int, data []byte, node int) *core.CommHandle {
 	x.checkType(typ)
-	msg := core.NewMsg(x.h, nxHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(typ))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(x.p.MyPe()))
-	copy(pl[nxHeader:], data)
-	return x.p.AsyncSend(node, msg)
+	return x.e.AsyncSendTagged(node, typ, data)
 }
 
 // Msgwait blocks until an asynchronous send completes (msgwait).
@@ -120,26 +109,9 @@ func (x *NX) Msgwait(h *core.CommHandle) {
 // other types are buffered; messages for other handlers stay deferred
 // in the CMI.
 func (x *NX) Crecv(typ int, buf []byte) int {
-	for {
-		if msg, rtyp, ok := x.mm.Get(typ); ok {
-			return x.complete(msg, rtyp, buf)
-		}
-		x.p.GetSpecificMsg(x.h)
-		raw := x.p.GrabBuffer()
-		pl := core.Payload(raw)
-		mtyp := int(binary.LittleEndian.Uint32(pl[0:]))
-		if typ == AnyType || mtyp == typ {
-			return x.complete(pl, mtyp, buf)
-		}
-		x.mm.Put(pl, mtyp)
-	}
-}
-
-// complete fills buf and the info fields from a matched raw payload.
-func (x *NX) complete(pl []byte, typ int, buf []byte) int {
-	src := int(binary.LittleEndian.Uint32(pl[4:]))
-	n := copy(buf, pl[nxHeader:])
-	x.lastType, x.lastCount, x.lastNode = typ, len(pl)-nxHeader, src
+	data, src, rtyp := x.e.RecvTagged(typ, sm.Wildcard)
+	n := copy(buf, data)
+	x.lastType, x.lastCount, x.lastNode = rtyp, len(data), src
 	return n
 }
 
@@ -160,24 +132,19 @@ func (x *NX) Irecv(typ int, buf []byte) *Recv {
 // MsgwaitRecv blocks until the posted receive completes.
 func (x *NX) MsgwaitRecv(r *Recv) {
 	for !r.done {
-		x.p.GetSpecificMsg(x.h)
-		raw := x.p.GrabBuffer()
-		pl := core.Payload(raw)
-		mtyp := int(binary.LittleEndian.Uint32(pl[0:]))
-		x.mm.Put(pl, mtyp)
+		x.e.WaitPeek(r.typ, sm.Wildcard)
 		x.satisfyPending()
 	}
 	x.lastType, x.lastCount, x.lastNode = r.rtyp, r.n, r.node
 }
 
-// trySatisfy completes r from the message manager if a match is stored.
+// trySatisfy completes r from the engine's mailbox if a match is parked.
 func (x *NX) trySatisfy(r *Recv) {
-	msg, rtyp, ok := x.mm.Get(r.typ)
+	data, src, rtyp, ok := x.e.TryRecv(r.typ, sm.Wildcard)
 	if !ok {
 		return
 	}
-	src := int(binary.LittleEndian.Uint32(msg[4:]))
-	r.n = copy(r.buf, msg[nxHeader:])
+	r.n = copy(r.buf, data)
 	r.node, r.rtyp, r.done = src, rtyp, true
 }
 
@@ -197,31 +164,15 @@ func (x *NX) satisfyPending() {
 // without blocking (iprobe).
 func (x *NX) Iprobe(typ int) bool {
 	x.drain()
-	_, _, ok := x.mm.Probe(typ)
+	_, _, _, ok := x.e.Peek(typ, sm.Wildcard)
 	return ok
 }
 
 // drain parks all currently available NX messages and feeds posted
 // receives; non-NX traffic is enqueued for its handlers.
 func (x *NX) drain() {
-	for {
-		msg, ok := x.p.GetMsg()
-		if !ok {
-			break
-		}
-		if core.HandlerOf(msg) == x.h {
-			x.park(x.p.GrabBuffer())
-			continue
-		}
-		x.p.GrabBuffer()
-		x.p.Enqueue(msg)
-	}
+	x.e.Drain()
 	x.satisfyPending()
-}
-
-func (x *NX) park(raw []byte) {
-	pl := core.Payload(raw)
-	x.mm.Put(pl, int(binary.LittleEndian.Uint32(pl[0:])))
 }
 
 // Infotype returns the type of the last completed receive (infotype).
@@ -237,30 +188,10 @@ func (x *NX) Infonode() int { return x.lastNode }
 
 // Gsync is the NX global synchronization (gsync): a counted all-to-all
 // barrier over a reserved type range, round-stamped like sm.Barrier.
+// Like a crecv of the last token, it leaves that token's reserved type,
+// zero count and node in the info enquiries.
 func (x *NX) Gsync() {
-	x.gsyncSeq++
-	typ := gsyncBase + x.gsyncSeq
-	buf := []byte{}
-	for node := 0; node < x.p.NumPes(); node++ {
-		if node != x.p.MyPe() {
-			x.csendInternal(typ, buf, node)
-		}
+	if typ, node := x.e.Sync(); node >= 0 {
+		x.lastType, x.lastCount, x.lastNode = typ, 0, node
 	}
-	tmp := make([]byte, 0)
-	for n := 0; n < x.p.NumPes()-1; n++ {
-		x.Crecv(typ, tmp)
-	}
-}
-
-// gsync state and reserved type range.
-const gsyncBase = 1 << 30
-
-// csendInternal bypasses the user-type validation for reserved types.
-func (x *NX) csendInternal(typ int, data []byte, node int) {
-	msg := core.NewMsg(x.h, nxHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(typ))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(x.p.MyPe()))
-	copy(pl[nxHeader:], data)
-	x.p.SyncSendAndFree(node, msg)
 }

@@ -9,6 +9,8 @@
 // broadcast, and a barrier. Like PVM, it is a single-process-module
 // layer (§2.1 "no concurrency"): a blocked receive buffers all other
 // traffic. A threaded variant simply runs these calls from tSM threads.
+// The messaging itself is a private instance of the sm engine; this
+// package adds task ids and the pack/unpack buffers.
 package pvmc
 
 import (
@@ -17,6 +19,7 @@ import (
 	"math"
 
 	"converse/internal/core"
+	"converse/internal/lang/sm"
 	"converse/internal/msgmgr"
 )
 
@@ -25,21 +28,12 @@ const Any = msgmgr.Wildcard
 
 // PVM is the per-processor PVM-flavoured runtime.
 type PVM struct {
-	p  *core.Proc
-	h  int
-	mm *msgmgr.M
+	p *core.Proc
+	e *sm.SM // private tagged-messaging engine: PVM's handler and mailbox
 
 	sendBuf *Buffer
 	recvBuf *Buffer
-
-	barrierSeq int
 }
-
-// wire format: [tag u32][src u32][packed data...]
-const pvmHeader = 8
-
-// barrierTagBase is the internal tag range used by Barrier.
-const barrierTagBase = 1 << 30
 
 // extKey locates the PVM state in a Proc.
 const extKey = "converse.lang.pvmc"
@@ -49,10 +43,7 @@ func Attach(p *core.Proc) *PVM {
 	if v, ok := p.Ext(extKey).(*PVM); ok {
 		return v
 	}
-	v := &PVM{p: p, mm: msgmgr.New()}
-	v.h = p.RegisterHandler(func(p *core.Proc, msg []byte) {
-		v.park(p.GrabBuffer())
-	})
+	v := &PVM{p: p, e: sm.New(p)}
 	p.SetExt(extKey, v)
 	return v
 }
@@ -84,20 +75,10 @@ func (v *PVM) SendBuf() *Buffer {
 // Send ships the active send buffer to task tid under tag (pvm_send).
 // The buffer remains intact and may be sent again.
 func (v *PVM) Send(tid, tag int) {
-	if tag < 0 || tag >= barrierTagBase {
+	if tag < 0 || tag >= sm.Internal {
 		panic(fmt.Sprintf("pvmc: pe %d: tag %d outside the user range", v.p.MyPe(), tag))
 	}
-	v.send(tid, tag)
-}
-
-func (v *PVM) send(tid, tag int) {
-	data := v.SendBuf().bytes
-	msg := core.NewMsg(v.h, pvmHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(v.p.MyPe()))
-	copy(pl[pvmHeader:], data)
-	v.p.SyncSendAndFree(tid, msg)
+	v.e.SendTagged(tid, tag, v.SendBuf().bytes)
 }
 
 // Mcast ships the active send buffer to every listed task (pvm_mcast).
@@ -123,66 +104,28 @@ func (v *PVM) Bcast(tag int) {
 // are buffered by the CMI and PVM messages with other addresses are
 // parked.
 func (v *PVM) Recv(src, tag int) (rsrc, rtag int) {
-	for {
-		if msg, t1, t2, ok := v.mm.Get2(tag, src); ok {
-			v.recvBuf = &Buffer{bytes: msg[pvmHeader:]}
-			return t2, t1
-		}
-		v.p.GetSpecificMsg(v.h)
-		buf := v.p.GrabBuffer()
-		pl := core.Payload(buf)
-		mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-		msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-		if (tag == Any || mtag == tag) && (src == Any || msrc == src) {
-			v.recvBuf = &Buffer{bytes: pl[pvmHeader:]}
-			return msrc, mtag
-		}
-		v.mm.Put2(pl, mtag, msrc)
-	}
+	data, rsrc, rtag := v.e.RecvTagged(tag, src)
+	v.recvBuf = &Buffer{bytes: data}
+	return rsrc, rtag
 }
 
 // Nrecv is the non-blocking receive (pvm_nrecv): if a matching message
 // is available it becomes the active receive buffer and ok is true.
 func (v *PVM) Nrecv(src, tag int) (rsrc, rtag int, ok bool) {
-	v.drain()
-	msg, t1, t2, ok := v.mm.Get2(tag, src)
-	if !ok {
-		return 0, 0, false
+	v.e.Drain()
+	data, rsrc, rtag, ok := v.e.TryRecv(tag, src)
+	if ok {
+		v.recvBuf = &Buffer{bytes: data}
 	}
-	v.recvBuf = &Buffer{bytes: msg[pvmHeader:]}
-	return t2, t1, true
+	return rsrc, rtag, ok
 }
 
 // Probe reports whether a matching message is available without
 // receiving it (pvm_probe).
 func (v *PVM) Probe(src, tag int) bool {
-	v.drain()
-	_, _, _, ok := v.mm.Probe2(tag, src)
+	v.e.Drain()
+	_, _, _, ok := v.e.Peek(tag, src)
 	return ok
-}
-
-// drain parks all currently available PVM network messages; non-PVM
-// messages are enqueued for their handlers.
-func (v *PVM) drain() {
-	for {
-		msg, ok := v.p.GetMsg()
-		if !ok {
-			return
-		}
-		if core.HandlerOf(msg) == v.h {
-			v.park(v.p.GrabBuffer())
-			continue
-		}
-		v.p.GrabBuffer()
-		v.p.Enqueue(msg)
-	}
-}
-
-func (v *PVM) park(buf []byte) {
-	pl := core.Payload(buf)
-	mtag := int(binary.LittleEndian.Uint32(pl[0:]))
-	msrc := int(binary.LittleEndian.Uint32(pl[4:]))
-	v.mm.Put2(pl, mtag, msrc)
 }
 
 // RecvBuf returns the active receive buffer (set by Recv/Nrecv).
@@ -194,21 +137,10 @@ func (v *PVM) RecvBuf() *Buffer {
 }
 
 // Barrier synchronizes all tasks (pvm_barrier on the global group),
-// using round-stamped internal tags so rounds cannot interfere.
+// using round-stamped internal tags so rounds cannot interfere. The
+// active send buffer survives it; the active receive buffer does not.
 func (v *PVM) Barrier() {
-	v.barrierSeq++
-	tag := barrierTagBase + v.barrierSeq
-	save := v.sendBuf
-	v.sendBuf = &Buffer{}
-	for tid := 0; tid < v.p.NumPes(); tid++ {
-		if tid != v.Mytid() {
-			v.send(tid, tag)
-		}
-	}
-	v.sendBuf = save
-	for n := 0; n < v.p.NumPes()-1; n++ {
-		v.Recv(Any, tag)
-	}
+	v.e.Barrier()
 	v.recvBuf = nil
 }
 

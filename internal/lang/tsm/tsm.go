@@ -12,11 +12,11 @@
 package tsm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"converse/internal/core"
 	"converse/internal/cth"
+	"converse/internal/lang/sm"
 	"converse/internal/msgmgr"
 )
 
@@ -38,9 +38,6 @@ type waiter struct {
 	tag int
 	th  *cth.Thread
 }
-
-// wire format of a tSM message payload: [tag u32][src u32][data...]
-const tsmHeader = 8
 
 // extKey locates the tSM state in a Proc.
 const extKey = "converse.lang.tsm"
@@ -88,12 +85,7 @@ func (ts *TSM) Send(dst, tag int, data []byte) {
 	if tag < 0 {
 		panic(fmt.Sprintf("tsm: pe %d: negative tag %d (reserved)", ts.p.MyPe(), tag))
 	}
-	msg := core.NewMsg(ts.h, tsmHeader+len(data))
-	pl := core.Payload(msg)
-	binary.LittleEndian.PutUint32(pl[0:], uint32(tag))
-	binary.LittleEndian.PutUint32(pl[4:], uint32(ts.p.MyPe()))
-	copy(pl[tsmHeader:], data)
-	ts.p.SyncSendAndFree(dst, msg)
+	ts.p.SyncSendAndFree(dst, sm.Encode(ts.h, tag, ts.p.MyPe(), data))
 }
 
 // Recv blocks the calling thread until a message matching tag (or
@@ -107,7 +99,7 @@ func (ts *TSM) Recv(tag int) (data []byte, src, rettag int) {
 	}
 	for {
 		if msg, t1, t2, ok := ts.mm.Get2(tag, msgmgr.Wildcard); ok {
-			return msg[tsmHeader:], t2, t1
+			return msg, t2, t1
 		}
 		ts.waiting = append(ts.waiting, waiter{tag: tag, th: self})
 		ts.rt.Suspend()
@@ -117,11 +109,8 @@ func (ts *TSM) Recv(tag int) (data []byte, src, rettag int) {
 // onMsg parks an arriving message and awakens the first thread whose
 // Recv matches its tag.
 func (ts *TSM) onMsg(p *core.Proc, msg []byte) {
-	buf := p.GrabBuffer()
-	pl := core.Payload(buf)
-	tag := int(binary.LittleEndian.Uint32(pl[0:]))
-	src := int(binary.LittleEndian.Uint32(pl[4:]))
-	ts.mm.Put2(pl, tag, src)
+	data, tag, src := sm.Decode(p.GrabBuffer())
+	ts.mm.Put2(data, tag, src)
 	for i, w := range ts.waiting {
 		if w.tag == Wildcard || w.tag == tag {
 			ts.waiting = append(ts.waiting[:i], ts.waiting[i+1:]...)

@@ -129,6 +129,7 @@ type Node struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	closing  atomic.Bool // winding down: peer link loss is expected
+	finished atomic.Bool // Finish or teardown began: link failures are not faults
 	torn     atomic.Bool // teardown done: control-connection loss too
 	failCh   chan error
 	failOnce sync.Once
@@ -487,7 +488,13 @@ func (n *Node) noteCrcError(peer int) {
 	}
 }
 
+// noteLinkDown, noteRecovered and noteWireErr count link faults only
+// until Finish: after it, a lost link may be a released peer tearing
+// down (under FailRetry the link still recovers until the release).
 func (n *Node) noteLinkDown(peer int) {
+	if n.finished.Load() {
+		return
+	}
 	n.relLinkDown.Add(1)
 	if m := n.met.Load(); m != nil {
 		m.NetLinkDown()
@@ -495,6 +502,9 @@ func (n *Node) noteLinkDown(peer int) {
 }
 
 func (n *Node) noteRecovered(peer int) {
+	if n.finished.Load() {
+		return
+	}
 	n.relRecovered.Add(1)
 	if m := n.met.Load(); m != nil {
 		m.NetRecovered()
@@ -502,8 +512,8 @@ func (n *Node) noteRecovered(peer int) {
 }
 
 func (n *Node) noteWireErr(peer int) {
-	if n.closing.Load() {
-		return // teardown closes connections; those errors are expected
+	if n.finished.Load() {
+		return
 	}
 	n.relWireErr.Add(1)
 	if m := n.met.Load(); m != nil {
@@ -885,6 +895,7 @@ func (n *Node) ctrlReadLoop() {
 				n.Fail(err)
 				return
 			}
+			n.closing.Store(true) // see Finish
 			n.releaseCh <- rel
 		default:
 			n.Fail(fmt.Errorf("mnet: rank %d: unexpected %v frame from launcher", n.cfg.Rank, k))
@@ -921,7 +932,13 @@ func (n *Node) Finish() error {
 	// that receive the release first close their connections while ours
 	// is still in flight. Real peer death during the done-wait is still
 	// caught — by the launcher, which watches the processes themselves.
-	n.closing.Store(true)
+	// Under FailRetry a link may still owe a peer unacked frames that
+	// peer is blocked on, so recovery must go on until the release
+	// itself arrives; the control reader sets closing then.
+	n.finished.Store(true)
+	if !n.rel() {
+		n.closing.Store(true)
+	}
 	if err := n.writeCtrl(fDone, doneMsg{Round: n.round, Rank: n.cfg.Rank}); err != nil {
 		if n.cfg.TolerateCtrlLoss {
 			n.markCtrlLost()
@@ -1034,6 +1051,7 @@ func (n *Node) Close() { n.teardown() }
 // teardown closes every connection and the listener. closing suppresses
 // the link-loss failure reports that the closes would otherwise trigger.
 func (n *Node) teardown() {
+	n.finished.Store(true)
 	n.closing.Store(true)
 	n.torn.Store(true)
 	n.Stop()

@@ -276,3 +276,32 @@ func TestJoinValidationReliability(t *testing.T) {
 		t.Errorf("bad fault plan: err=%v, want plan rejection", err)
 	}
 }
+
+func TestRetryRecoversLinkLostWhileFinishWaits(t *testing.T) {
+	// Rank 0 queues its messages and enters Finish at once, but a stall
+	// holds its first frame, so rank 1 declares the silent link dead while
+	// rank 0 waits for the release. Under FailRetry rank 0 must still
+	// recover the link and replay, or rank 1 never gets its messages.
+	const msgs = 20
+	hb := 50 * time.Millisecond
+	addr, _ := StartTestJob(t, 2, hb)
+	nodes := joinAllRel(t, addr, 2, hb, 5*time.Second, "stall=0-1@1+600ms")
+	startAll(t, nodes)
+	for i := 0; i < msgs; i++ {
+		nodes[0].SendOwned(1, binary.LittleEndian.AppendUint64(nil, uint64(i)))
+	}
+	finished := make(chan error, 1)
+	go func() { finished <- nodes[0].Finish() }()
+	defer time.AfterFunc(10*time.Second, nodes[1].Stop).Stop()
+	for i := 0; i < msgs; i++ {
+		if pkt, ok := nodes[1].Recv(); !ok || binary.LittleEndian.Uint64(pkt.Data) != uint64(i) {
+			t.Fatalf("rank 1 got %d of %d messages in order: the link was not recovered while rank 0 waited in Finish", i, msgs)
+		}
+	}
+	if err := nodes[1].Finish(); err != nil {
+		t.Fatalf("rank 1 finish: %v", err)
+	}
+	if err := <-finished; err != nil {
+		t.Fatalf("rank 0 finish: %v", err)
+	}
+}

@@ -3,8 +3,9 @@
 // yet to be processed. Messages are inserted with one or two integer
 // identification tags and retrieved (or probed) by tag, with wildcard
 // matching; among equal matches retrieval is FIFO. Message managers are
-// the storage half of blocking-receive languages: tSM and the PVM layer
-// both keep their out-of-order arrivals here.
+// the storage half of blocking-receive languages: the SM engine (and so
+// the PVM, NX, MPI and DP layers built on it), tSM and mdt all keep
+// their out-of-order arrivals here.
 //
 // Per the paper, a manager instance can be customized to one or two tags
 // "placed at arbitrary positions within the messages": NewAtOffset
